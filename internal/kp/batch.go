@@ -21,8 +21,8 @@ import (
 // right-hand sides: the per-RHS tail is one block Cayley–Hamilton
 // backsolve, fused as matrix–matrix work over all pending columns, plus
 // the A·X = B verification. At k = 8 this shares the ~dozen full n×n
-// products of the squaring ladder and the minpoly Toeplitz machinery,
-// leaving roughly one matrix product of marginal cost per extra RHS.
+// products of the squaring ladder and the minpoly recovery, leaving
+// roughly one matrix product of marginal cost per extra RHS.
 //
 // The same split yields the reusable handle: Factor captures the certified
 // front end in a Factorization whose Solve/InverseApply replay only the

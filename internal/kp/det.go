@@ -12,7 +12,8 @@ import (
 
 // DetOnce is one branch-free determinant attempt (§2 + §3): with the
 // supplied randomness it computes the characteristic polynomial of
-// Ã = A·H·D through the Toeplitz machinery and returns
+// Ã = A·H·D through the Lemma 1 minimum polynomial (charPolyFromSequence)
+// and returns
 //
 //	det(A) = (−1)ⁿ·cp(0) / (det(H)·det(D)),
 //

@@ -49,10 +49,11 @@ func preconditionBox[E any](f ff.Field[E], a *matrix.Dense[E], rnd Randomness[E]
 }
 
 // charPolyImplicitCtx mirrors charPolyCtx on a black-box Ã: the sequence
-// a_i = u·Ãⁱ·v by 2n−1 iterative applies, then the Lemma 1 Toeplitz system
-// through the iterative Cayley–Hamilton solver (structured.Solve), whose
-// inner products are the cached-NTT Toeplitz applies — never a dense
-// Krylov-doubling ladder.
+// a_i = u·Ãⁱ·v by 2n−1 iterative applies, then its Lemma 1 minimum
+// polynomial by charPolyFromSequence — Berlekamp–Massey over fused fields,
+// otherwise the Toeplitz system through the iterative Cayley–Hamilton
+// solver (structured.Solve), whose inner products are the cached-NTT
+// Toeplitz applies. Neither route builds a dense Krylov-doubling ladder.
 func charPolyImplicitCtx[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackBox[E], rnd Randomness[E], krylovPhase, minpolyPhase string) ([]E, error) {
 	n, _ := atilde.Dims()
 	if err := ctxErr(ctx); err != nil {
@@ -68,18 +69,13 @@ func charPolyImplicitCtx[E any](ctx context.Context, f ff.Field[E], atilde matri
 	}
 	sp = obs.StartPhaseCtx(ctx, minpolyPhase)
 	defer sp.End()
-	tm := structured.NewToeplitz(a[:2*n-1])
-	rhs := a[n : 2*n]
-	c, err := structured.Solve(f, tm, rhs)
+	cp, err := charPolyFromSequence(f, a, n, func(tm structured.Toeplitz[E], rhs []E) ([]E, error) {
+		return structured.Solve(f, tm, rhs)
+	})
 	sp.End()
 	if err != nil {
 		return nil, inPhase(minpolyPhase, err)
 	}
-	cp := make([]E, n+1)
-	for i := 0; i < n; i++ {
-		cp[i] = f.Neg(c[n-1-i])
-	}
-	cp[n] = f.One()
 	return cp, nil
 }
 

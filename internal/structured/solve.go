@@ -67,24 +67,15 @@ func SolveParallel[E any](f ff.Field[E], mul matrix.Multiplier[E], t Toeplitz[E]
 		return nil, matrix.ErrSingular
 	}
 	k := matrix.KrylovDoubling(f, mul, t.Dense(f), b, n)
-	var acc []E
-	if _, fused := ff.KernelsOf[E](f); fused {
-		// Row i of the Krylov matrix holds (Tʲb)_i for j = 0..n−1, so each
-		// entry of the accumulation is one contiguous fused dot against the
-		// coefficient vector — no per-column copies, no intermediate slices.
-		acc = make([]E, n)
-		for i := 0; i < n; i++ {
-			acc[i] = ff.DotFused(f, k.Data[i*n:(i+1)*n], cp[1:n+1])
-		}
-	} else {
-		// Balanced vector tree: this is the O(log n)-depth accumulation the
-		// circuit trace of Theorem 4 must see.
-		scaled := make([][]E, n)
-		for j := 0; j < n; j++ {
-			scaled[j] = ff.VecScale(f, cp[j+1], k.Col(j))
-		}
-		acc = ff.SumVecs(f, scaled)
+	// Balanced vector tree: this is the O(log n)-depth accumulation the
+	// circuit trace of Theorem 4 must see. (Concrete fields with fused
+	// kernels reach the Lemma 1 system through Berlekamp–Massey in kp and
+	// do not come here on the solve path.)
+	scaled := make([][]E, n)
+	for j := 0; j < n; j++ {
+		scaled[j] = ff.VecScale(f, cp[j+1], k.Col(j))
 	}
+	acc := ff.SumVecs(f, scaled)
 	scale, err := f.Div(f.Neg(f.One()), pn)
 	if err != nil {
 		return nil, err
