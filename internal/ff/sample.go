@@ -33,11 +33,21 @@ func (s *Source) Uint64() uint64 {
 
 // Uint64n returns a uniform value in [0, n). n must be positive.
 func (s *Source) Uint64n(n uint64) uint64 {
+	return s.below(n, rejectionLimit(n))
+}
+
+// rejectionLimit returns the largest multiple of n that fits in a uint64:
+// draws at or above it are rejected to avoid modulo bias. n must be positive.
+func rejectionLimit(n uint64) uint64 {
 	if n == 0 {
 		panic("ff: Uint64n(0)")
 	}
-	// Rejection sampling to avoid modulo bias.
-	limit := (^uint64(0)) - (^uint64(0))%n
+	return (^uint64(0)) - (^uint64(0))%n
+}
+
+// below draws a uniform value in [0, n) given limit = rejectionLimit(n), so
+// that a loop over one n computes the limit once.
+func (s *Source) below(n, limit uint64) uint64 {
 	for {
 		v := s.Uint64()
 		if v < limit {
@@ -94,9 +104,10 @@ func clampSubset[E any](f Field[E], subset uint64) uint64 {
 // canonical subset of size subset (clamped to the field order, as in Sample).
 func SampleVec[E any](f Field[E], src *Source, n int, subset uint64) []E {
 	subset = clampSubset(f, subset)
+	limit := rejectionLimit(subset)
 	v := make([]E, n)
 	for i := range v {
-		v[i] = f.Elem(src.Uint64n(subset))
+		v[i] = f.Elem(src.below(subset, limit))
 	}
 	return v
 }
@@ -110,4 +121,22 @@ func SampleNonZero[E any](f Field[E], src *Source, subset uint64) E {
 			return e
 		}
 	}
+}
+
+// SampleNonZeroVec draws an n-vector of non-zero entries, each as
+// SampleNonZero draws it and from the same stream positions, clamping the
+// subset and computing the rejection limit once instead of once per entry.
+func SampleNonZeroVec[E any](f Field[E], src *Source, n int, subset uint64) []E {
+	subset = clampSubset(f, subset)
+	limit := rejectionLimit(subset)
+	v := make([]E, n)
+	for i := range v {
+		for {
+			v[i] = f.Elem(src.below(subset, limit))
+			if !f.IsZero(v[i]) {
+				break
+			}
+		}
+	}
+	return v
 }

@@ -94,6 +94,25 @@ func TestSampleSubset(t *testing.T) {
 	}
 }
 
+// TestSampleNonZeroVecMatchesScalar pins SampleNonZeroVec to n scalar
+// SampleNonZero draws from the same seed: same entries, same stream
+// position afterwards. Subset 3 makes zero draws (and their retries) common.
+func TestSampleNonZeroVecMatchesScalar(t *testing.T) {
+	f := MustFp64(P31)
+	for _, subset := range []uint64{3, 1 << 40} {
+		vecSrc, scalarSrc := NewSource(11), NewSource(11)
+		got := SampleNonZeroVec[uint64](f, vecSrc, 64, subset)
+		for i, g := range got {
+			if want := SampleNonZero[uint64](f, scalarSrc, subset); g != want {
+				t.Fatalf("subset %d entry %d: %d, want %d", subset, i, g, want)
+			}
+		}
+		if vecSrc.Uint64() != scalarSrc.Uint64() {
+			t.Fatalf("subset %d: the two sources diverged after the draws", subset)
+		}
+	}
+}
+
 func TestIntnNonPositivePanics(t *testing.T) {
 	for _, n := range []int{0, -1, -1 << 40} {
 		func() {

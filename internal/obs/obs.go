@@ -22,10 +22,7 @@
 package obs
 
 import (
-	"bytes"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -426,40 +423,4 @@ func (o *Observer) TotalFieldOps() uint64 {
 		total += r.FieldOps
 	}
 	return total
-}
-
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine N [...]"). Only called on the enabled path; the runtime has
-// no public accessor. Ids wider than the fast 40-byte buffer (the header
-// would be truncated mid-digits, which must not parse as a wrong id) fall
-// back to a larger buffer; a still-unparseable header yields -1.
-func goroutineID() int64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	if id, ok := parseGoroutineID(buf[:n]); ok {
-		return id
-	}
-	big := make([]byte, 128)
-	n = runtime.Stack(big, false)
-	if id, ok := parseGoroutineID(big[:n]); ok {
-		return id
-	}
-	return -1
-}
-
-// parseGoroutineID extracts N from a "goroutine N [...]" stack header. It
-// requires the separator after the id to be present — a header truncated
-// inside the digits (possible when the capture buffer is smaller than the
-// header) is rejected rather than parsed as a shorter, wrong id.
-func parseGoroutineID(s []byte) (int64, bool) {
-	s = bytes.TrimPrefix(s, []byte("goroutine "))
-	i := bytes.IndexByte(s, ' ')
-	if i <= 0 {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(string(s[:i]), 10, 64)
-	if err != nil || id < 0 {
-		return 0, false
-	}
-	return id, true
 }

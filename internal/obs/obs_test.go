@@ -359,3 +359,37 @@ func TestGoroutineIDCurrent(t *testing.T) {
 		t.Fatalf("goroutineID() = %d for a live goroutine, want > 0", id)
 	}
 }
+
+// TestGoroutineIDDistinct runs goroutines at the same time: each must see
+// the same id on every call (the cached lookup included), and no two may
+// share one.
+func TestGoroutineIDDistinct(t *testing.T) {
+	const workers = 16
+	ids := make([]int64, workers)
+	var ready, done sync.WaitGroup
+	ready.Add(workers)
+	done.Add(workers)
+	release := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer done.Done()
+			first := goroutineID()
+			ready.Done()
+			<-release // every worker is alive while the others look up
+			if again := goroutineID(); again != first {
+				t.Errorf("worker %d: goroutineID changed from %d to %d", w, first, again)
+			}
+			ids[w] = first
+		}()
+	}
+	ready.Wait()
+	close(release)
+	done.Wait()
+	seen := make(map[int64]bool)
+	for w, id := range ids {
+		if id <= 0 || seen[id] {
+			t.Errorf("worker %d: id %d is not positive or not unique among live goroutines", w, id)
+		}
+		seen[id] = true
+	}
+}
