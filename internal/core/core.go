@@ -28,7 +28,6 @@ import (
 	"repro/internal/kp"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/seq"
 	"repro/internal/structured"
 	"repro/internal/wiedemann"
 )
@@ -350,7 +349,8 @@ func (s *Solver[E]) DetBlackBox(a matrix.BlackBox[E]) (E, error) {
 }
 
 // CharPolyToeplitz returns det(λI − T) for a Toeplitz matrix given by its
-// 2n−1 entries (Theorem 3). Requires characteristic 0 or > n; use
+// 2n−1 entries (structured.CharPoly: Berlekamp–Massey on fused-kernel
+// fields, Theorem 3 elsewhere). Requires characteristic 0 or > n; use
 // CharPolyToeplitzAnyChar otherwise.
 func (s *Solver[E]) CharPolyToeplitz(entries []E) ([]E, error) {
 	t := structured.NewToeplitz(entries)
@@ -376,9 +376,9 @@ func (s *Solver[E]) SolveToeplitz(entries []E, b []E) ([]E, error) {
 	return structured.Solve(s.f, t, b)
 }
 
-// FactorToeplitz runs the Theorem 3 pipeline once (Newton iteration on the
-// Gohberg–Semencul implicit inverse → characteristic polynomial → first and
-// last columns of T⁻¹) and returns the reusable fast-path handle: each
+// FactorToeplitz computes the characteristic polynomial once
+// (structured.CharPoly), derives the first and last columns of T⁻¹ from it,
+// and returns the reusable Gohberg–Semencul fast-path handle: each
 // subsequent SolveVec costs four triangular-Toeplitz products. Requires
 // characteristic 0 or > n; singular T is matrix.ErrSingular.
 func (s *Solver[E]) FactorToeplitz(entries []E) (*structured.GSSolver[E], error) {
@@ -435,7 +435,7 @@ func (s *Solver[E]) MinPolyOfSequence(a []E, maxDeg int) ([]E, error) {
 	if err := s.checkChar(maxDeg); err != nil {
 		return nil, err
 	}
-	return seq.MinPolyParallel(s.f, a, maxDeg)
+	return structured.MinPolyParallel(s.f, a, maxDeg)
 }
 
 // SolveSmallPrimeField solves a system over a word prime field F_p whose

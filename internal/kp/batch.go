@@ -247,7 +247,10 @@ func (fa *Factorization[E]) InverseApplyCtx(ctx context.Context, bm *matrix.Dens
 }
 
 // Det returns det(A) from the cached characteristic polynomial:
-// det(Ã) = (−1)ⁿ·c₀ divided by det(H)·det(D). Unlike the standalone Det
+// det(Ã) = (−1)ⁿ·c₀ divided by det(H)·det(D). Only det(H) costs anything:
+// structured.DetHankel runs Berlekamp–Massey on fused-kernel fields and the
+// Theorem 3 Newton charpoly elsewhere. Solves never call it; the exact ℤ
+// engine calls it only in det mode. Unlike the standalone Det
 // driver it does not cross-check independent randomizations — the answer
 // is Monte Carlo with the factorization's ≤ 3n²/|S| error bound (the probe
 // certification of Factor does not certify the determinant itself).

@@ -17,8 +17,10 @@ import (
 //
 //	det(A) = (−1)ⁿ·cp(0) / (det(H)·det(D)),
 //
-// with det(H) computed by the Theorem 3 circuit on the Hankel mirror and
-// det(D) as a balanced product. No zero tests are performed.
+// with det(H) computed by structured.DetHankel on the Hankel mirror — the
+// Theorem 3 circuit over abstract fields and the circuit builder,
+// Berlekamp–Massey over fused-kernel fields — and det(D) as a balanced
+// product. No zero tests are performed on the circuit route.
 func DetOnce[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], rnd Randomness[E]) (E, error) {
 	var zero E
 	n := a.Rows

@@ -480,7 +480,7 @@ var bigIntOne = big.NewInt(1)
 type residueRun struct {
 	primes []uint64   // final prime set (replacements in place)
 	x      [][]uint64 // x[k][i] = solution coordinate i mod primes[k]; nil in det mode
-	det    []uint64   // det[k] = det(A) mod primes[k]
+	det    []uint64   // det[k] = det(A) mod primes[k]; zero in solve mode
 }
 
 // runResidues executes one independent residue solve per prime on a
@@ -615,7 +615,10 @@ func (e *IntEngine) runResidues(ctx context.Context, a *rns.IntMat, b []*big.Int
 }
 
 // solveResidue runs one residue field end to end: reduce, factor (or hit
-// the cache), determinant, and — in solve mode — the verified backsolve.
+// the cache), then the determinant in det mode (b == nil) or the verified
+// backsolve in solve mode. Solve mode never reads a residue determinant, so
+// it computes none: a completed Factor already certifies det ≢ 0 mod p, and
+// a prime dividing det(A) fails there as a bad prime either way.
 func (e *IntEngine) solveResidue(ctx context.Context, a *rns.IntMat, digest string, b []*big.Int, prime uint64, src *ff.Source, p Params) (x []uint64, det uint64, hit bool, err error) {
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseRNSResidue)
 	defer sp.End()
@@ -639,24 +642,25 @@ func (e *IntEngine) solveResidue(ctx context.Context, a *rns.IntMat, digest stri
 		}
 		e.cachePut(key, fa)
 	}
-	det, err = fa.Det()
-	if err != nil {
-		return nil, 0, hit, err
-	}
-	if det == 0 {
-		// Unreachable in practice (Factor certifies non-singularity), but a
-		// zero here must count as a bad prime, not poison the CRT.
-		return nil, 0, hit, fmt.Errorf("kp: det ≡ 0 mod %d: %w", prime, matrix.ErrSingular)
-	}
-	if b != nil {
-		br := make([]uint64, len(b))
-		rns.ReduceVecMod(b, prime, br)
-		x, err = fa.SolveCtx(ctx, br)
+	if b == nil {
+		det, err = fa.Det()
 		if err != nil {
 			return nil, 0, hit, err
 		}
+		if det == 0 {
+			// Unreachable in practice (Factor certifies non-singularity), but a
+			// zero here must count as a bad prime, not poison the CRT.
+			return nil, 0, hit, fmt.Errorf("kp: det ≡ 0 mod %d: %w", prime, matrix.ErrSingular)
+		}
+		return nil, det, hit, nil
 	}
-	return x, det, hit, nil
+	br := make([]uint64, len(b))
+	rns.ReduceVecMod(b, prime, br)
+	x, err = fa.SolveCtx(ctx, br)
+	if err != nil {
+		return nil, 0, hit, err
+	}
+	return x, 0, hit, nil
 }
 
 // checkDetResidue compares det mod a fresh check prime against a direct

@@ -105,8 +105,8 @@ func TestDetIntDifferential(t *testing.T) {
 // TestSolveIntBadPrimeReplacement forces det(A) ≡ 0 mod the first
 // generated prime: A = diag(p₀, 1, …, 1) has det = p₀, so the engine must
 // detect the singular residue, replace p₀, and still return the exact
-// answer. This is the Las Vegas bad-prime path of the issue's acceptance
-// list.
+// answer — the Las Vegas bad-prime path. Solve mode computes no residue
+// determinant: the failing Factor mod p₀ is what flags the prime.
 func TestSolveIntBadPrimeReplacement(t *testing.T) {
 	p0, err := ff.GenerateNTTPrimes(0, 0, 1)
 	if err != nil {
@@ -138,17 +138,37 @@ func TestSolveIntBadPrimeReplacement(t *testing.T) {
 	if got := x.Rat(1); got.Cmp(big.NewRat(-7, 1)) != 0 {
 		t.Fatalf("x[1] = %s, want -7", got.RatString())
 	}
+}
 
-	// The determinant path replaces the prime too and returns det = p₀.
-	det, dstats, err := DetInt(nil, a, rns.Params{}, Params{})
+// TestDetIntBadPrimeReplacement is the det-mode twin of
+// TestSolveIntBadPrimeReplacement: det mode is the only mode that computes
+// residue determinants, so it keeps the det ≡ 0 guard, and it must replace
+// p₀ the same way and return det = p₀ exactly.
+func TestDetIntBadPrimeReplacement(t *testing.T) {
+	p0, err := ff.GenerateNTTPrimes(0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 4
+	a := rns.NewIntMat(n, n)
+	a.Set(0, 0, new(big.Int).SetUint64(p0[0]))
+	for i := 1; i < n; i++ {
+		a.Set(i, i, big.NewInt(1))
+	}
+	det, stats, err := DetInt(nil, a, rns.Params{}, Params{})
 	if err != nil {
 		t.Fatalf("DetInt: %v", err)
 	}
 	if det.Cmp(new(big.Int).SetUint64(p0[0])) != 0 {
 		t.Fatalf("det = %s, want %d", det, p0[0])
 	}
-	if dstats.BadPrimes < 1 {
-		t.Fatalf("det path saw no bad prime: %+v", dstats)
+	if stats.BadPrimes < 1 {
+		t.Fatalf("det path saw no bad prime: %+v", stats)
+	}
+	for _, q := range stats.Primes {
+		if q == p0[0] {
+			t.Fatalf("bad prime %d still in the CRT set", p0[0])
+		}
 	}
 }
 
@@ -204,7 +224,7 @@ func TestSolveRatClearsDenominators(t *testing.T) {
 func TestRankInt(t *testing.T) {
 	a := rns.IntMatFromInt64([][]int64{
 		{1, 2, 3, 4},
-		{2, 4, 6, 8},  // dependent
+		{2, 4, 6, 8}, // dependent
 		{0, 1, 1, -1},
 	})
 	r, stats, err := RankInt(nil, a, rns.Params{}, Params{})

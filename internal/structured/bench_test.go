@@ -34,14 +34,26 @@ func BenchmarkToeplitzApply(b *testing.B) {
 	}
 }
 
+// BenchmarkCharPoly times both routes of CharPoly on the same random
+// Toeplitz matrix: "bm" is the Berlekamp–Massey route fused-kernel fields
+// take, "newton" the Theorem 3 pipeline it falls back to (and the only
+// route on every other field).
 func BenchmarkCharPoly(b *testing.B) {
 	f := ff.MustFp64(ff.PNTT62)
 	src := ff.NewSource(3)
 	t := RandomToeplitz[uint64](f, src, 256, ff.PNTT62)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CharPoly[uint64](f, t); err != nil {
-			b.Fatal(err)
+	b.Run("bm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := charPolyBM[uint64](f, t); err != nil || !ok {
+				b.Fatalf("BM route: ok=%v err=%v", ok, err)
+			}
 		}
-	}
+	})
+	b.Run("newton", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := charPolyNewton[uint64](f, t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

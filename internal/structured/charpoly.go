@@ -1,13 +1,71 @@
 package structured
 
 import (
+	"math"
+
 	"repro/internal/charpoly"
 	"repro/internal/ff"
 	"repro/internal/poly"
+	"repro/internal/seq"
 )
 
-// CharPoly returns det(λI − T) for an n×n Toeplitz matrix by the paper's
-// Theorem 3 pipeline (Pan 1990b):
+// CharPoly returns det(λI − T) for an n×n Toeplitz matrix. It requires
+// characteristic 0 or > n (charpoly.ErrSmallCharacteristic otherwise — use
+// CharPolySmallChar). Two routes compute the same polynomial:
+//
+//   - Fields with fused kernels (ff.Fp64, the concrete hot path) take the
+//     Berlekamp–Massey route of charPolyBM: O(n) cached-NTT applies and an
+//     O(n²) recurrence instead of the Newton iteration's bivariate series
+//     arithmetic. When its generator falls short of degree n (always so
+//     for derogatory T) it falls back to charPolyNewton.
+//   - Every other field — the circuit builder, the counting wrappers and
+//     the arbitrary-precision and extension fields — runs charPolyNewton,
+//     the paper's Theorem 3 pipeline, so traced circuits and abstract op
+//     counts stay those of the paper.
+func CharPoly[E any](f ff.Field[E], t Toeplitz[E]) ([]E, error) {
+	if _, fused := ff.KernelsOf(f); fused {
+		if !ff.CharacteristicExceeds(f, t.N) {
+			return nil, charpoly.ErrSmallCharacteristic
+		}
+		if cp, ok, err := charPolyBM(f, t); err != nil || ok {
+			return cp, err
+		}
+	}
+	return charPolyNewton(f, t)
+}
+
+// bmSeed fixes the projection vectors of charPolyBM, so CharPoly stays a
+// deterministic function of T.
+const bmSeed = 0x6a09e667f3bcc909
+
+// charPolyBM computes det(λI − T) from the 2n terms u·Tⁱ·v, with u and v
+// drawn from bmSeed, by Berlekamp–Massey (Lemma 1; the Toeplitz/BM
+// equivalence). The generator of the projected sequence divides minpoly(T),
+// which divides det(λI − T); so a degree-n generator is the characteristic
+// polynomial, and ok reports exactly that. A shorter generator proves
+// nothing: T may be derogatory, or u and v unlucky. The projections are
+// fixed, so a matrix crafted against bmSeed can always force ok = false —
+// which costs the Newton fallback's time, never a wrong answer.
+func charPolyBM[E any](f ff.Field[E], t Toeplitz[E]) (cp []E, ok bool, err error) {
+	n := t.N
+	src := ff.NewSource(bmSeed)
+	u := ff.SampleVec(f, src, n, math.MaxUint64)
+	v := ff.SampleVec(f, src, n, math.MaxUint64)
+	a := make([]E, 2*n)
+	for i := range a {
+		if i > 0 {
+			v = t.MulVec(f, v)
+		}
+		a[i] = ff.DotFused(f, u, v)
+	}
+	mp, err := seq.MinPoly(f, a)
+	if err != nil {
+		return nil, false, err
+	}
+	return mp, len(mp) == n+1, nil
+}
+
+// charPolyNewton is the paper's Theorem 3 pipeline (Pan 1990b):
 //
 //  1. Newton-iterate the implicit inverse of B = I − λT, carrying only its
 //     first and last columns in Gohberg/Semencul form (newton.go);
@@ -16,10 +74,9 @@ import (
 //  3. solve the Leverrier/Newton-identity system by power-series
 //     exponentiation (Schönhage), which divides by 2, …, n.
 //
-// Requires characteristic 0 or > n (charpoly.ErrSmallCharacteristic
-// otherwise — use CharPolySmallChar). The whole computation is branch-free:
-// it never tests a field element for zero, matching the circuit model.
-func CharPoly[E any](f ff.Field[E], t Toeplitz[E]) ([]E, error) {
+// The whole computation is branch-free: it never tests a field element for
+// zero, matching the circuit model.
+func charPolyNewton[E any](f ff.Field[E], t Toeplitz[E]) ([]E, error) {
 	n := t.N
 	if n == 0 {
 		return []E{f.One()}, nil

@@ -5,14 +5,15 @@ import (
 	"repro/internal/matrix"
 )
 
-// GSSolver packages the paper's Theorem 3 machinery — the Newton-iterated
-// Gohberg/Semencul implicit inverse and the resulting characteristic
+// GSSolver packages the paper's Theorem 3 machinery — the
+// Gohberg/Semencul implicit inverse built from the characteristic
 // polynomial — as a reusable solver backend for non-singular Toeplitz
-// systems. Construction pays the Theorem 3 charpoly (O(n² log n) field ops
-// with the cached NTT applies) plus two Cayley–Hamilton backsolves for the
-// first and last columns of T⁻¹; after that every right-hand side costs
-// four triangular-Toeplitz products via GS.ApplyWithInv — O(M(n)) instead
-// of the 2n black-box applies a fresh Wiedemann run would pay. When
+// systems. Construction pays one CharPoly (Berlekamp–Massey over cached
+// NTT applies on fused-kernel fields, the Theorem 3 Newton iteration
+// elsewhere) plus two Cayley–Hamilton backsolves for the first and last
+// columns of T⁻¹; after that every right-hand side costs four
+// triangular-Toeplitz products via GS.ApplyWithInv — O(M(n)) instead of
+// the 2n black-box applies a fresh Wiedemann run would pay. When
 // (T⁻¹)₀₀ = 0 the Gohberg/Semencul formula is unavailable (the paper's
 // genericity assumption u₁ ≠ 0); the solver then falls back to the cached
 // Cayley–Hamilton backsolve, still reusing the one charpoly.
@@ -26,7 +27,7 @@ type GSSolver[E any] struct {
 	hasGS bool
 }
 
-// NewGSSolver runs the Theorem 3 pipeline once. It returns
+// NewGSSolver computes the characteristic polynomial once. It returns
 // matrix.ErrSingular for singular T and propagates
 // charpoly.ErrSmallCharacteristic when char(F) ≤ n.
 func NewGSSolver[E any](f ff.Field[E], t Toeplitz[E]) (*GSSolver[E], error) {
