@@ -35,36 +35,35 @@ import (
 	"repro/internal/server"
 )
 
-// loadSchema identifies the -json report layout for downstream tooling,
-// following the kpbench/v1 convention.
+// loadSchema identifies the -json report layout for downstream tooling.
 const loadSchema = "kpdload/v1"
 
 // loadReport is the kpdload -json document: the run configuration plus the
 // throughput / latency-quantile / cache / error numbers the text report
 // prints, machine-readable for CI trend tracking.
 type loadReport struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	Addr       string `json:"addr"`
-	Clients    int    `json:"clients"`
-	Requests   int    `json:"requests"`
-	Dim        int    `json:"n"`
-	Matrices   int    `json:"matrices"`
-	Rhs        int    `json:"rhs,omitempty"`
-	WallNs     int64  `json:"wall_ns"`
-	Throughput float64 `json:"throughput_rps"`
-	OK         int64  `json:"ok"`
-	P50Ns      int64  `json:"p50_ns"`
-	P90Ns      int64  `json:"p90_ns"`
-	P99Ns      int64  `json:"p99_ns"`
-	MaxNs      int64  `json:"max_ns"`
-	CacheHits  int64  `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	HitRate    float64 `json:"hit_rate"`
-	Rejected   int64  `json:"rejected"`
-	Failed     int64  `json:"failed"`
-	Wrong      int64  `json:"wrong"`
+	Schema      string  `json:"schema"`
+	GoVersion   string  `json:"go_version"`
+	NumCPU      int     `json:"num_cpu"`
+	Addr        string  `json:"addr"`
+	Clients     int     `json:"clients"`
+	Requests    int     `json:"requests"`
+	Dim         int     `json:"n"`
+	Matrices    int     `json:"matrices"`
+	Rhs         int     `json:"rhs,omitempty"`
+	WallNs      int64   `json:"wall_ns"`
+	Throughput  float64 `json:"throughput_rps"`
+	OK          int64   `json:"ok"`
+	P50Ns       int64   `json:"p50_ns"`
+	P90Ns       int64   `json:"p90_ns"`
+	P99Ns       int64   `json:"p99_ns"`
+	MaxNs       int64   `json:"max_ns"`
+	CacheHits   int64   `json:"cache_hits"`
+	CacheMisses int64   `json:"cache_misses"`
+	HitRate     float64 `json:"hit_rate"`
+	Rejected    int64   `json:"rejected"`
+	Failed      int64   `json:"failed"`
+	Wrong       int64   `json:"wrong"`
 	// Statuses maps HTTP status code (as a string, for JSON) to count.
 	Statuses map[string]int `json:"statuses"`
 }
@@ -208,28 +207,28 @@ func main() {
 
 	if *jsonOut {
 		report := loadReport{
-			Schema:     loadSchema,
-			GoVersion:  runtime.Version(),
-			NumCPU:     runtime.NumCPU(),
-			Addr:       *addr,
-			Clients:    *clients,
-			Requests:   *requests,
-			Dim:        *n,
-			Matrices:   *mats,
-			Rhs:        *rhs,
-			WallNs:     elapsed.Nanoseconds(),
-			Throughput: float64(ok) / elapsed.Seconds(),
-			OK:         ok,
-			P50Ns:      q(0.50).Nanoseconds(),
-			P90Ns:      q(0.90).Nanoseconds(),
-			P99Ns:      q(0.99).Nanoseconds(),
-			CacheHits:  hits.Load(),
+			Schema:      loadSchema,
+			GoVersion:   runtime.Version(),
+			NumCPU:      runtime.NumCPU(),
+			Addr:        *addr,
+			Clients:     *clients,
+			Requests:    *requests,
+			Dim:         *n,
+			Matrices:    *mats,
+			Rhs:         *rhs,
+			WallNs:      elapsed.Nanoseconds(),
+			Throughput:  float64(ok) / elapsed.Seconds(),
+			OK:          ok,
+			P50Ns:       q(0.50).Nanoseconds(),
+			P90Ns:       q(0.90).Nanoseconds(),
+			P99Ns:       q(0.99).Nanoseconds(),
+			CacheHits:   hits.Load(),
 			CacheMisses: misses.Load(),
-			HitRate:    hitRate,
-			Rejected:   rejected.Load(),
-			Failed:     failed.Load(),
-			Wrong:      wrong.Load(),
-			Statuses:   make(map[string]int),
+			HitRate:     hitRate,
+			Rejected:    rejected.Load(),
+			Failed:      failed.Load(),
+			Wrong:       wrong.Load(),
+			Statuses:    make(map[string]int),
 		}
 		if ok > 0 {
 			report.MaxNs = latencies[ok-1].Nanoseconds()

@@ -13,8 +13,7 @@
 //	kpsolve -n 8 -ring zz -op solve   # exact solve over ℤ (RNS/CRT engine)
 //	kpsolve -n 8 -ring qq -op det     # exact determinant of a rational matrix
 //	kpsolve -n 128 -trace out.json    # per-phase Chrome trace_event timeline
-//	kpsolve -n 512 -pprof :6060       # live pprof + /debug/vars metrics
-//	kpsolve -n 256 -serve :9090       # Prometheus /metrics + JSON /snapshot
+//	kpsolve -n 256 -serve :9090       # /metrics, /snapshot and /debug/pprof/
 //	kpsolve -n 64 -log json           # structured per-attempt slog records
 //
 // The input file format is: first line "n p" (dimension and field modulus),
@@ -49,12 +48,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"math/big"
 	"net"
 	"net/http"
-	_ "net/http/pprof"
+	"net/http/pprof"
 	"os"
 	"strings"
 	"time"
@@ -80,8 +78,7 @@ func main() {
 		mul    = flag.String("mul", "classical", "matrix multiplier: "+strings.Join(matrix.Names(), "|"))
 		seed   = flag.Uint64("seed", uint64(time.Now().UnixNano()), "random seed")
 		trace  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the solve phases to this file")
-		pprof  = flag.String("pprof", "", "serve net/http/pprof and the obs metrics registry (/debug/vars) on this address, e.g. :6060")
-		serve  = flag.String("serve", "", "serve telemetry (/metrics Prometheus text, /snapshot JSON, /healthz) on this address and keep the process alive after the operation until SIGINT/SIGTERM, e.g. :9090")
+		serve  = flag.String("serve", "", "serve telemetry (/metrics Prometheus text, /snapshot JSON, /healthz, /debug/pprof/) on this address and keep the process alive after the operation until SIGINT/SIGTERM, e.g. :9090")
 		logFmt = flag.String("log", "off", "structured per-attempt logging to stderr: off | text | json")
 	)
 	flag.Parse()
@@ -109,14 +106,6 @@ func main() {
 		usage(fmt.Errorf("-log wants off|text|json, got %q", *logFmt))
 	}
 
-	if *pprof != "" {
-		obs.PublishExpvar()
-		go func() {
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				log.Printf("kpsolve: pprof listener: %v", err)
-			}
-		}()
-	}
 	// The telemetry listener starts before the operation so live runs can be
 	// scraped mid-solve; main blocks on SIGINT/SIGTERM after the output when
 	// -serve is set, keeping /metrics up for collectors. Shutdown drains
@@ -139,12 +128,12 @@ func main() {
 		tl := obs.NewTimeline(obs.TimelineConfig{Interval: time.Second})
 		obs.SetTimeline(tl)
 		tl.Start()
-		fmt.Fprintf(os.Stderr, "kpsolve: telemetry on http://%s (/metrics /snapshot /debug/profiles /debug/timeline /healthz)\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "kpsolve: telemetry on http://%s (/metrics /snapshot /debug/profiles /debug/timeline /debug/pprof/ /healthz)\n", ln.Addr())
 		var serveCtx context.Context
 		serveCtx, serveStop = context.WithCancel(context.Background())
 		serveDone = make(chan error, 1)
 		go func() {
-			serveDone <- server.ServeUntil(serveCtx, ln, obs.Handler(), 5*time.Second)
+			serveDone <- server.ServeUntil(serveCtx, ln, telemetryMux(), 5*time.Second)
 		}()
 	}
 	// holdTelemetry blocks on SIGINT/SIGTERM after the output when -serve is
@@ -619,4 +608,17 @@ func fatal(err error) {
 // solves ran.
 func dumpFlight() {
 	obs.WriteFlightRecord(os.Stderr)
+}
+
+// telemetryMux is what -serve listens with: the obs surfaces plus the
+// runtime profiler under /debug/pprof/.
+func telemetryMux() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", obs.Handler())
+	return mux
 }

@@ -135,3 +135,47 @@ func TestSolverCtxCancellation(t *testing.T) {
 		t.Fatalf("FactorCtx: err = %v", err)
 	}
 }
+
+// TestSolveBatchAmortizesFrontEnd: one SolveBatch over k right-hand sides
+// shares the precondition/Krylov/minpoly front end, so it makes fewer dense
+// multiplies and fewer field operations than k independent Solve calls on
+// an identically seeded solver — the batch engine's reason to exist,
+// counted exactly instead of timed.
+func TestSolveBatchAmortizesFrontEnd(t *testing.T) {
+	f := ff.MustFp64(ff.PNTT62)
+	n, k := 64, 8
+	src := ff.NewSource(20260704)
+	a := matrix.Random[uint64](f, src, n, n, f.Modulus())
+	bm := matrix.Random[uint64](f, src, n, k, f.Modulus())
+	solver := func() *Solver[uint64] {
+		s, err := NewSolver[uint64](f, Options{Seed: 20260704, Multiplier: "classical", Instrument: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	batch := solver()
+	x, err := batch.SolveBatch(a, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matrix.Mul[uint64](f, a, x).Equal(f, bm) {
+		t.Fatal("SolveBatch: A·X != B")
+	}
+	indep := solver()
+	for j := 0; j < k; j++ {
+		if _, err := indep.Solve(a, bm.Col(j)); err != nil {
+			t.Fatalf("independent solve %d: %v", j, err)
+		}
+	}
+	bs, is := batch.MulStats().Snapshot(), indep.MulStats().Snapshot()
+	t.Logf("n=%d k=%d: SolveBatch %d Mul calls, %d field ops; %d× Solve %d Mul calls, %d field ops",
+		n, k, bs.Calls, bs.FieldOps, k, is.Calls, is.FieldOps)
+	if bs.Calls >= is.Calls {
+		t.Fatalf("SolveBatch made %d Mul calls, not fewer than the %d of %d independent solves", bs.Calls, is.Calls, k)
+	}
+	if bs.FieldOps >= is.FieldOps {
+		t.Fatalf("SolveBatch cost %d field ops, not fewer than the %d of %d independent solves", bs.FieldOps, is.FieldOps, k)
+	}
+}

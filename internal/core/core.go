@@ -174,9 +174,6 @@ func (s *Solver[E]) params(ctx context.Context) kp.Params {
 	return kp.Params{Src: s.src, Subset: s.subset, Retries: s.retries, Ctx: ctx, Logger: s.logger, Precond: s.precond}
 }
 
-// PrecondMode returns the preconditioner realization this solver uses.
-func (s *Solver[E]) PrecondMode() kp.PrecondMode { return s.precond }
-
 // WithSource returns a copy of the solver drawing all randomness from src
 // instead of the solver's own stream. A Solver's embedded source is a
 // mutable ff.Source with no internal synchronization, so a Solver must not

@@ -17,6 +17,10 @@ import (
 
 var fpCirc = ff.MustFp64(ff.PNTT62) // NTT-friendly: traced products use the fast path
 
+// FieldModulus returns the modulus of the word prime field the experiments
+// run over (for kpbench's self-describing header).
+func FieldModulus() uint64 { return fpCirc.Modulus() }
+
 func log2(x float64) float64 { return math.Log2(x) }
 
 // E3 traces the Theorem 3 Toeplitz characteristic-polynomial pipeline and

@@ -22,8 +22,7 @@ import (
 // same draws, so the Las Vegas retry path is shared bit for bit.
 
 // timedBox attributes per-apply wall time and call counts to the innermost
-// open obs span, surfacing as the apply_ns/apply_calls span fields and
-// kpbench's apply_ns column.
+// open obs span, surfacing as the apply_ns/apply_calls span fields.
 type timedBox[E any] struct{ b matrix.BlackBox[E] }
 
 func (t timedBox[E]) Dims() (int, int) { return t.b.Dims() }

@@ -143,9 +143,10 @@ func TestImplicitBatchMatchesDense(t *testing.T) {
 }
 
 // TestImplicitPreconditionZeroDenseMul is the acceptance-criteria op-count
-// check: in implicit mode the precondition phase — and in fact the whole
-// solve — performs zero dense matrix-matrix Mul calls, while the black-box
-// apply counters show where the work went instead.
+// check: in implicit mode the precondition phase does no field work at all
+// and the whole solve performs zero dense matrix-matrix Mul calls, while
+// the black-box apply counters show where the work went instead. The same
+// solve in dense mode spends exactly the one product that forms Ã there.
 func TestImplicitPreconditionZeroDenseMul(t *testing.T) {
 	o := obs.New(0)
 	obs.SetActive(o)
@@ -167,6 +168,9 @@ func TestImplicitPreconditionZeroDenseMul(t *testing.T) {
 	if pre.MulCalls != 0 {
 		t.Fatalf("implicit precondition made %d dense Mul calls, want 0", pre.MulCalls)
 	}
+	if pre.FieldOps != 0 {
+		t.Fatalf("implicit precondition did %d field ops, want 0 (Ã stays a composition)", pre.FieldOps)
+	}
 	if got := im.Stats.Snapshot().Calls; got != 0 {
 		t.Fatalf("implicit solve invoked the dense multiplier %d times, want 0", got)
 	}
@@ -175,6 +179,17 @@ func TestImplicitPreconditionZeroDenseMul(t *testing.T) {
 	}
 	if totals[obs.PhaseKrylov].ApplyTime == 0 {
 		t.Fatal("krylov phase recorded no apply time")
+	}
+
+	// The dense route on the same system and draws: one product A·(H·D).
+	od := obs.New(0)
+	obs.SetActive(od)
+	if _, err := Solve[uint64](fntt, matrix.NewInstrumented[uint64](classical()), a, b,
+		Params{Src: ff.NewSource(3), Precond: PrecondDense}); err != nil {
+		t.Fatal(err)
+	}
+	if got := od.PhaseTotals()[obs.PhasePrecondition].MulCalls; got != 1 {
+		t.Fatalf("dense precondition made %d Mul calls, want exactly 1", got)
 	}
 
 	// The batch engine's implicit front end makes the same claim for

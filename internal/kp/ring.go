@@ -59,7 +59,7 @@ var (
 const DefaultFactorCacheCap = 256
 
 // RingStats reports how a multi-modulus run spent its time — the numbers
-// behind the kpbench -ring rows and the kpd response fields.
+// behind the kpd response fields and the benchmark's rns.* metrics.
 type RingStats struct {
 	// Residues is the number of residue fields that contributed to the CRT
 	// modulus (bad primes excluded).

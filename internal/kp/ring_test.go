@@ -42,7 +42,8 @@ func ratDense(a *rns.IntMat) *matrix.Dense[*big.Rat] {
 
 // TestSolveIntDifferential: the multi-modulus engine agrees bit-exactly
 // with big-rational Gaussian elimination across dimensions up to 32,
-// and the answers carry the Verified flag from the exact ℤ check.
+// the answers carry the Verified flag from the exact ℤ check, and the
+// stats time every phase of the run (residue fan-out, CRT).
 func TestSolveIntDifferential(t *testing.T) {
 	src := ff.NewSource(11)
 	rat := ff.NewRat()
@@ -61,6 +62,10 @@ func TestSolveIntDifferential(t *testing.T) {
 		}
 		if stats.Residues < 1 || len(stats.Primes) != stats.Residues {
 			t.Fatalf("n=%d: inconsistent stats: %+v", n, stats)
+		}
+		if stats.ResidueWallNs <= 0 || stats.ResidueSumNs <= 0 || stats.CRTNs <= 0 || stats.ParallelEfficiency <= 0 {
+			t.Fatalf("n=%d: a phase went untimed: residue wall %d ns, sum %d ns, crt %d ns, efficiency %g",
+				n, stats.ResidueWallNs, stats.ResidueSumNs, stats.CRTNs, stats.ParallelEfficiency)
 		}
 		br := make([]*big.Rat, n)
 		for i := range br {

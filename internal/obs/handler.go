@@ -29,8 +29,8 @@ var marshalSnapshot = func(doc SnapshotDoc) ([]byte, error) {
 //	           ?id=<trace-id> for one span tree, &format=chrome for a
 //	           Chrome trace_event export) — 404 until SetTraceStore
 //
-// kpsolve -serve and kpbench -serve mount it on a dedicated listener; a
-// production embedder mounts it on its own mux next to pprof.
+// kpd and kpsolve -serve mount it on their listeners (kpsolve next to
+// /debug/pprof/); an embedder mounts it on its own mux.
 
 // SnapshotDoc is the /snapshot JSON document.
 type SnapshotDoc struct {

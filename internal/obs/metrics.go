@@ -1,22 +1,22 @@
 package obs
 
 import (
-	"expvar"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Named counters and gauges, registered at package init of the subsystems
 // that own them (the matrix worker pool, the solvers). Unlike spans they
 // are process-lifetime and always on: one uncontended atomic add is cheaper
 // than a branch worth maintaining, and the pool amortizes every add over a
-// grain-sized chunk of work. Snapshot them with MetricsSnapshot or serve
-// them over HTTP via PublishExpvar + the -pprof flag of the CLI tools.
+// grain-sized chunk of work. Snapshot them with MetricsSnapshot, or serve
+// them over HTTP through Handler (/metrics and /snapshot).
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
 	name string
-	v    expvar.Int
+	v    atomic.Int64
 }
 
 // Add increments the counter by d.
@@ -26,7 +26,7 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Value() }
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
@@ -151,18 +151,4 @@ func MetricNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar publishes the metrics registry as the expvar variable
-// "kp_metrics", so an HTTP server with the default mux (e.g. the CLI
-// tools' -pprof listener) serves it at /debug/vars. Safe to call more
-// than once.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("kp_metrics", expvar.Func(func() any {
-			return MetricsSnapshot()
-		}))
-	})
 }

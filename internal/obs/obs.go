@@ -3,7 +3,7 @@
 // log-bucketed histograms (phase latencies, retry counts, batch sizes,
 // pool samples), Las Vegas attempt statistics compared against the paper's
 // failure bounds (BoundsReport), an always-on flight recorder of recent
-// solve summaries, and exporters — Chrome trace_event JSON, expvar, and an
+// solve summaries, and exporters — Chrome trace_event JSON and an
 // embeddable HTTP Handler serving Prometheus text at /metrics plus a JSON
 // /snapshot and /healthz — that make the paper's per-phase work/depth
 // accounting and probabilistic claims measurable instead of asserted.
@@ -192,13 +192,13 @@ func Active() *Observer { return active.Load() }
 // Span is one open phase. A nil *Span (the disabled fast path) accepts
 // every method as a no-op, so call sites never branch on enablement.
 type Span struct {
-	obs    *Observer
-	scope  *TraceScope // owning request scope; nil for Observer-global spans
-	parent *Span
-	id     int64
-	pid    int64
-	name   string
-	start  time.Duration
+	obs        *Observer
+	scope      *TraceScope // owning request scope; nil for Observer-global spans
+	parent     *Span
+	id         int64
+	pid        int64
+	name       string
+	start      time.Duration
 	gid        int64
 	ops        atomic.Uint64
 	calls      atomic.Uint64
@@ -270,7 +270,7 @@ func (s *Span) AddApplyTime(d time.Duration, calls uint64) {
 
 // AddApplyTime attributes black-box apply time to the innermost open span
 // of the active Observer — the hook the kp implicit-preconditioning boxes
-// report through, giving kpbench its apply_ns column.
+// report through, surfacing as the span's apply_ns/apply_calls fields.
 func AddApplyTime(d time.Duration, calls uint64) {
 	o := active.Load()
 	if o == nil {

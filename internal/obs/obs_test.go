@@ -209,8 +209,6 @@ func TestCountersAndGauges(t *testing.T) {
 	if !found {
 		t.Fatal("MetricNames missing test.gauge.max")
 	}
-	PublishExpvar()
-	PublishExpvar() // second call must be a no-op, not a duplicate-publish panic
 }
 
 // BenchmarkSpanDisabled measures the nil fast path: the full per-phase

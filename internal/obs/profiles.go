@@ -70,8 +70,8 @@ type ProfileStore struct {
 
 	mu   sync.Mutex
 	ring []ProfileCapture
-	next int64 // captures ever admitted; ring slot is next % cap
-	seq  int64 // id source
+	next int64                // captures ever admitted; ring slot is next % cap
+	seq  int64                // id source
 	last map[string]time.Time // last capture time per trigger (cooldown)
 
 	cpuBusy atomic.Bool

@@ -36,7 +36,7 @@ const (
 // each tagged with the trace id).
 type RequestTrace struct {
 	TraceID      string        `json:"trace_id"`
-	SpanID       string        `json:"span_id"`               // this process's root span id
+	SpanID       string        `json:"span_id"`                  // this process's root span id
 	ParentSpanID string        `json:"parent_span_id,omitempty"` // caller's span id from the incoming traceparent
 	Route        string        `json:"route"`
 	N            int           `json:"n,omitempty"`

@@ -89,11 +89,14 @@ func (p *NTTPlan[E]) Transform(a []E) []E {
 }
 
 // ConvolveHat writes coefficients [lo, hi) of the linear convolution
-// (preimage of ahat) * x into out (which must have length hi−lo). The plan
-// length must cover the full product — deg(a) + len(x) − 1 ≤ Len() — so the
-// cyclic convolution the transform computes equals the linear one. One
-// forward transform of x, one pointwise product, one inverse transform; the
-// 1/n normalization is folded into the extracted window.
+// (preimage of ahat) * x into out (which must have length hi−lo). The
+// transform computes the cyclic convolution, which adds coefficient k+Len()
+// of the linear product onto coefficient k; the window is exact when no
+// such wraparound lands in it, i.e. len(a) + len(x) − 1 − lo ≤ Len() and
+// hi ≤ Len(). With lo = 0 that is the whole product; a middle product
+// needs only the window's reach. One forward transform of x, one pointwise
+// product, one inverse transform; the 1/n normalization is folded into the
+// extracted window.
 func (p *NTTPlan[E]) ConvolveHat(ahat, x []E, lo, hi int, out []E) {
 	if len(ahat) != p.n {
 		panic("poly: ConvolveHat transform length mismatch")

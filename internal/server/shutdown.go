@@ -12,7 +12,7 @@ import (
 )
 
 // Process lifecycle shared by every long-running binary in the repo (kpd,
-// kpsolve -serve, kpbench -serve): a signal-canceled context plus an HTTP
+// kpsolve -serve): a signal-canceled context plus an HTTP
 // serve loop that drains in-flight requests on shutdown instead of dying
 // mid-response (a killed scrape used to truncate /metrics bodies; a killed
 // solve wasted the whole Krylov phase).

@@ -14,10 +14,22 @@ import (
 func toeplitzOracle[E any](t Toeplitz[E]) Toeplitz[E] { return Toeplitz[E]{N: t.N, D: t.D} }
 func hankelOracle[E any](h Hankel[E]) Hankel[E]       { return Hankel[E]{N: h.N, D: h.D} }
 
+// applyDims covers every n from 1 to 40 — where the middle-product plan
+// length 2n−1 and the full product length 3n−2 round to different powers
+// of two (n = 4, 6–8, 11–16, 22–32, …) and where they agree — plus larger
+// sizes up to the benchmark's n = 256.
+func applyDims() []int {
+	var ns []int
+	for n := 1; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 64, 100, 256)
+}
+
 func TestToeplitzNTTApplyMatchesSchoolbook(t *testing.T) {
 	f := ff.MustFp64(ff.PNTT62)
 	src := ff.NewSource(11)
-	for _, n := range []int{1, 2, 3, 7, 16, 33, 100} {
+	for _, n := range applyDims() {
 		tm := RandomToeplitz[uint64](f, src, n, f.Modulus())
 		ref := toeplitzOracle(tm)
 		for rep := 0; rep < 3; rep++ {
@@ -29,6 +41,14 @@ func TestToeplitzNTTApplyMatchesSchoolbook(t *testing.T) {
 					t.Fatalf("n=%d rep=%d: NTT apply diverges at %d: %d vs %d", n, rep, i, got[i], want[i])
 				}
 			}
+			if rep == 0 {
+				dense := tm.Dense(f).MulVec(f, x)
+				for i := range want {
+					if want[i] != dense[i] {
+						t.Fatalf("n=%d: schoolbook oracle diverges from dense at %d", n, i)
+					}
+				}
+			}
 		}
 	}
 }
@@ -36,7 +56,7 @@ func TestToeplitzNTTApplyMatchesSchoolbook(t *testing.T) {
 func TestHankelNTTApplyMatchesSchoolbook(t *testing.T) {
 	f := ff.MustFp64(ff.PNTT62)
 	src := ff.NewSource(13)
-	for _, n := range []int{1, 2, 5, 31, 64} {
+	for _, n := range applyDims() {
 		h := NewHankel(ff.SampleVec[uint64](f, src, 2*n-1, f.Modulus()))
 		ref := hankelOracle(h)
 		x := ff.SampleVec[uint64](f, src, n, f.Modulus())

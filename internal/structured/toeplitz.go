@@ -34,13 +34,17 @@ type nttCache[E any] struct {
 
 // convolve fills the cache on first use and, when the field supports the
 // fused transform, writes coefficients [lo, hi) of D(z)·x(z) into out,
-// reporting whether it did.
+// reporting whether it did. The plan covers only what the window needs: a
+// cyclic length N ≥ len(d)+len(x)−1−lo folds the product's tail onto
+// coefficients below lo, so [lo, hi) comes out unchanged — for the
+// Toeplitz/Hankel middle product that is 2n−1 points, not the full 3n−2.
+// Every caller of one cache passes the same lengths and window.
 func (c *nttCache[E]) convolve(f ff.Field[E], d, x []E, lo, hi int, out []E) bool {
 	if c == nil {
 		return false
 	}
 	c.once.Do(func() {
-		plan, err := poly.NewNTTPlan(f, len(d)+len(x)-1)
+		plan, err := poly.NewNTTPlan(f, max(len(d), hi, len(d)+len(x)-1-lo))
 		if err != nil {
 			return // typed ErrNoRootOfUnity / ErrNoNTTKernel: schoolbook fallback
 		}
