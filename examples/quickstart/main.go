@@ -44,8 +44,8 @@ func main() {
 	fmt.Printf("recovered  = %v\n", ff.VecEqual[uint64](f, x, x0))
 
 	// Batched solve: several right-hand sides share one preconditioning,
-	// Krylov doubling, and minimum-polynomial recovery — the per-column
-	// marginal cost is roughly one matrix product.
+	// Krylov sequence and minimum-polynomial recovery — each extra column
+	// costs only its share of the block backsolve.
 	src := ff.NewSource(7)
 	bs := matrix.Random[uint64](f, src, 4, 3, f.Modulus())
 	xs, err := solver.SolveBatch(a, bs)

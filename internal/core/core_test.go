@@ -292,8 +292,8 @@ func TestMultiplierOption(t *testing.T) {
 // TestObserverAndInstrumentOptions runs a traced, instrumented solve and
 // checks the observability contract end to end: the timeline's top-level
 // spans are exactly the KP91 phases, and the op count attributed to spans
-// matches the Instrumented multiplier total (every multiplication charged
-// to exactly one phase).
+// is the Instrumented multiplier total plus the applies of Ã (every
+// multiplication and every apply charged to exactly one phase).
 func TestObserverAndInstrumentOptions(t *testing.T) {
 	o := obs.New(0)
 	s := MustNewSolver[uint64](fp, Options{Seed: 3, Observer: o, Instrument: true})
@@ -337,7 +337,16 @@ func TestObserverAndInstrumentOptions(t *testing.T) {
 	if snap.FieldOps == 0 {
 		t.Fatal("instrumented multiplier saw no work")
 	}
-	if got := o.TotalFieldOps(); got != snap.FieldOps {
-		t.Fatalf("span field-ops %d != instrumented field-ops %d", got, snap.FieldOps)
+	// The phases also carry the applies of Ã (n·(2n−1) ops each) that the
+	// matrix–vector route makes besides its one multiply.
+	var applies uint64
+	for _, r := range o.Records() {
+		applies += r.ApplyCalls
+	}
+	if applies == 0 {
+		t.Fatal("no apply of Ã was recorded")
+	}
+	if got, want := o.TotalFieldOps(), snap.FieldOps+applies*uint64(n*(2*n-1)); got != want {
+		t.Fatalf("span field-ops %d != instrumented field-ops %d + %d applies × %d", got, snap.FieldOps, applies, n*(2*n-1))
 	}
 }

@@ -83,11 +83,32 @@ type Field[E any] interface {
 	Elem(i uint64) E
 }
 
+// wordPrimeField is implemented by the word-sized prime fields of this
+// package, whose prime is both their characteristic and their order: the
+// per-solve checks below read it without building a big.Int.
+type wordPrimeField interface{ wordPrime() uint64 }
+
+// WordOrder returns the order of a finite field that fits a uint64, and
+// false for an infinite field or a larger one.
+func WordOrder[E any](f Field[E]) (uint64, bool) {
+	if w, ok := f.(wordPrimeField); ok {
+		return w.wordPrime(), true
+	}
+	card := f.Cardinality()
+	if card.Sign() > 0 && card.IsUint64() {
+		return card.Uint64(), true
+	}
+	return 0, false
+}
+
 // CharacteristicExceeds reports whether the characteristic of f is zero or
 // strictly greater than n. Leverrier/Csanky-style algorithms (and therefore
 // the headline Kaltofen–Pan circuits) divide by 2, 3, …, n and are valid
 // exactly under this condition.
 func CharacteristicExceeds[E any](f Field[E], n int) bool {
+	if w, ok := f.(wordPrimeField); ok {
+		return n < 0 || w.wordPrime() > uint64(n)
+	}
 	ch := f.Characteristic()
 	if ch.Sign() == 0 {
 		return true

@@ -210,6 +210,15 @@ func (f Fp64) Characteristic() *big.Int { return new(big.Int).SetUint64(f.p) }
 func (f Fp64) Cardinality() *big.Int { return new(big.Int).SetUint64(f.p) }
 
 // Elem returns i mod p: the canonical enumeration of F_p is 0, 1, …, p−1.
-func (f Fp64) Elem(i uint64) uint64 { return i % f.p }
+// Sampling draws i below a subset size ≤ p, so the division is skipped
+// when i is already reduced.
+func (f Fp64) Elem(i uint64) uint64 {
+	if i < f.p {
+		return i
+	}
+	return i % f.p
+}
+
+func (f Fp64) wordPrime() uint64 { return f.p }
 
 var _ Field[uint64] = Fp64{}

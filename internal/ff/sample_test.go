@@ -232,3 +232,35 @@ func TestSourceSplitDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestUniformMatchesModulo pins the reciprocal reduction to the stream the
+// hardware remainder gives: for moduli across the whole word range, every
+// draw equals the rejection-sampled v % n, so the randomness of every
+// driver is unchanged.
+func TestUniformMatchesModulo(t *testing.T) {
+	ref := func(s *Source, n uint64) uint64 {
+		limit := ^uint64(0) - ^uint64(0)%n
+		for {
+			if v := s.Uint64(); v < limit {
+				return v % n
+			}
+		}
+	}
+	ns := []uint64{1, 2, 3, 7, 13, 97, 1 << 31, P31, P62, PNTT62, 1<<62 + 1, 1 << 63, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	seeds := NewSource(99)
+	for i := 0; i < 200; i++ {
+		ns = append(ns, seeds.Uint64()>>uint(seeds.Uint64n(64)))
+	}
+	for _, n := range ns {
+		if n == 0 {
+			continue
+		}
+		a, b := NewSource(n), NewSource(n)
+		u := newUniform(n)
+		for j := 0; j < 2000; j++ {
+			if got, want := u.draw(a), ref(b, n); got != want {
+				t.Fatalf("n=%d draw %d: got %d, want %d", n, j, got, want)
+			}
+		}
+	}
+}

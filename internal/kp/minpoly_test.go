@@ -2,10 +2,10 @@ package kp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -18,10 +18,10 @@ import (
 )
 
 // paperField hides Fp64's fused kernels behind the bare ff.Field interface,
-// forcing the minpoly phase onto the paper's Theorem 3 Toeplitz route and
-// the backsolve onto its own doubling pass. Plain Fp64 takes the
-// Berlekamp–Massey route with the shared power ladder; the tests below
-// check that the two routes are indistinguishable from the outside.
+// forcing the Krylov and backsolve phases onto the paper's doubling of (9)
+// and the minpoly phase onto its Theorem 3 Toeplitz route. Plain Fp64 takes
+// the matrix–vector route with Berlekamp–Massey; the tests below check that
+// the two routes are indistinguishable from the outside.
 type paperField struct{ ff.Field[uint64] }
 
 func newFieldPair(t *testing.T, p uint64) (ff.Fp64, paperField) {
@@ -86,8 +86,8 @@ func TestMinPolyRoutesAgree(t *testing.T) {
 			for draw := 0; draw < 6; draw++ {
 				rnd := DrawRandomness[uint64](f, src, n, 97)
 				atilde := precondition[uint64](f, classical(), a, rnd)
-				cpF, errF := charPolyCtx[uint64](nil, f, classical(), atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly, nil)
-				cpP, errP := charPolyCtx[uint64](nil, pf, classical(), atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly, nil)
+				cpF, errF := charPolyCtx[uint64](nil, f, classical(), atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
+				cpP, errP := charPolyCtx[uint64](nil, pf, classical(), atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
 				if sameMinPolyOutcome(t, "dense", cpF, cpP, errF, errP) {
 					singular++
 				} else {
@@ -95,8 +95,8 @@ func TestMinPolyRoutesAgree(t *testing.T) {
 				}
 
 				box, _ := preconditionBox[uint64](f, a, rnd)
-				cpF, errF = charPolyImplicitCtx[uint64](nil, f, box, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
-				cpP, errP = charPolyImplicitCtx[uint64](nil, pf, box, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
+				cpF, errF = charPolyBoxCtx[uint64](nil, f, box, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
+				cpP, errP = charPolyBoxCtx[uint64](nil, pf, box, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
 				sameMinPolyOutcome(t, "implicit", cpF, cpP, errF, errP)
 			}
 		}
@@ -199,10 +199,10 @@ func TestMinPolyRoutesSmallCharacteristic(t *testing.T) {
 	}
 }
 
-// TestSolveMulCount pins the dense multiplies of a concrete-field solve:
-// one for A·H, log₂n rounds plus log₂n − 1 squarings for the 2n-term
-// Krylov sequence, and log₂n rounds for the backsolve on the shared ladder
-// — 3·log₂n + 2 in all, none of them in the minpoly phase.
+// TestSolveMulCount pins the work of a concrete-field solve: one dense
+// multiply (A·H), then 2n−1 applies of Ã for the Krylov sequence and n−1
+// for the backsolve — 3n−2 applies, none of them and no multiply in the
+// minpoly phase — with each apply charged n·(2n−1) field operations.
 func TestSolveMulCount(t *testing.T) {
 	o := obs.New(0)
 	prev := obs.Active()
@@ -216,16 +216,143 @@ func TestSolveMulCount(t *testing.T) {
 	if _, err := Solve[uint64](f, im, a, b, Params{Src: ff.NewSource(11)}); err != nil {
 		t.Fatal(err)
 	}
-	logn := bits.Len(uint(n)) - 1
-	if got, want := im.Stats.Snapshot().Calls, uint64(3*logn+2); got != want {
-		t.Fatalf("n=%d solve made %d Mul calls, want 3·log₂n+2 = %d", n, got, want)
+	if got := im.Stats.Snapshot().Calls; got != 1 {
+		t.Fatalf("n=%d solve made %d Mul calls, want 1", n, got)
 	}
-	mp, ok := o.PhaseTotals()[obs.PhaseMinPoly]
-	if !ok {
-		t.Fatal("no minpoly span recorded")
+	totals := o.PhaseTotals()
+	perApply := uint64(n * (2*n - 1))
+	for _, c := range []struct {
+		phase          string
+		applies, mulls uint64
+	}{
+		{obs.PhasePrecondition, 0, 1},
+		{obs.PhaseKrylov, uint64(2*n - 1), 0},
+		{obs.PhaseMinPoly, 0, 0},
+		{obs.PhaseBacksolve, uint64(n - 1), 0},
+	} {
+		pt, ok := totals[c.phase]
+		if !ok {
+			t.Fatalf("no %s span recorded", c.phase)
+		}
+		if pt.ApplyCalls != c.applies || pt.MulCalls != c.mulls {
+			t.Fatalf("%s: %d applies and %d Mul calls, want %d and %d", c.phase, pt.ApplyCalls, pt.MulCalls, c.applies, c.mulls)
+		}
+		if c.applies > 0 && pt.FieldOps != c.applies*perApply {
+			t.Fatalf("%s: %d field ops, want %d applies × %d", c.phase, pt.FieldOps, c.applies, perApply)
+		}
 	}
-	if mp.MulCalls != 0 {
-		t.Fatalf("minpoly phase made %d Mul calls, want 0", mp.MulCalls)
+}
+
+// TestMatvecRoutesAgree is the differential test of the matrix–vector
+// route: every driver over plain Fp64 (applies of Ã, Berlekamp–Massey)
+// against the kernel-less paperField (the doubling of (9), Theorem 3), with
+// equal seeds, over F_13 and F_97 where unlucky draws are common, in both
+// precondition modes, on full-rank and singular A. Answers, errors, attempt
+// logs and the randomness consumed must all be identical.
+func TestMatvecRoutesAgree(t *testing.T) {
+	for _, p := range []uint64{13, 97} {
+		f, pf := newFieldPair(t, p)
+		src := ff.NewSource(1311 + p)
+		var ok, failed int
+		for n := 1; n <= 12; n++ {
+			for _, r := range []int{n, n - 1} {
+				a := lowRank(f, src, n, r)
+				bm := matrix.Random[uint64](f, src, n, 3, p)
+				b := bm.Col(0)
+				seed := src.Uint64()
+				for _, mode := range []PrecondMode{PrecondDense, PrecondImplicit} {
+					what := fmt.Sprintf("p=%d n=%d r=%d %s", p, n, r, mode)
+					type run struct {
+						out  string
+						log  *bytes.Buffer
+						tail uint64
+					}
+					drive := func(fld ff.Field[uint64], op func(Params) (any, error)) run {
+						lg, buf := attemptLog()
+						q := Params{Src: ff.NewSource(seed), Subset: p, Retries: 6, Logger: lg, Precond: mode}
+						x, err := op(q)
+						if err == nil {
+							ok++
+						} else {
+							failed++
+						}
+						return run{fmt.Sprint(x, err), buf, q.Src.Uint64()}
+					}
+					for name, op := range map[string]func(ff.Field[uint64], Params) (any, error){
+						"Solve": func(fld ff.Field[uint64], q Params) (any, error) {
+							return Solve(fld, classical(), a, b, q)
+						},
+						"SolveBatch": func(fld ff.Field[uint64], q Params) (any, error) {
+							x, err := SolveBatch(fld, classical(), a, bm, q)
+							if err != nil {
+								return nil, err
+							}
+							return x.Data, nil
+						},
+						"Factor+Solve": func(fld ff.Field[uint64], q Params) (any, error) {
+							fa, err := Factor(fld, classical(), a, q)
+							if err != nil {
+								return nil, err
+							}
+							x, err := fa.Solve(b)
+							return []any{fa.cp, x}, err
+						},
+						"Det": func(fld ff.Field[uint64], q Params) (any, error) {
+							return Det(fld, classical(), a, q)
+						},
+					} {
+						rf := drive(f, func(q Params) (any, error) { return op(f, q) })
+						rp := drive(pf, func(q Params) (any, error) { return op(pf, q) })
+						if rf.out != rp.out || rf.log.String() != rp.log.String() || rf.tail != rp.tail {
+							t.Fatalf("%s %s: matvec (%s) vs doubling (%s)\nmatvec log:\n%s\ndoubling log:\n%s",
+								what, name, rf.out, rp.out, rf.log, rp.log)
+						}
+					}
+				}
+			}
+		}
+		if ok == 0 || failed == 0 {
+			t.Fatalf("p=%d: %d successful and %d failed driver calls; both outcomes must be exercised", p, ok, failed)
+		}
+	}
+}
+
+// TestSolveCancelInsideKrylov cancels the context during the first apply of
+// the Krylov loop and asserts the cancellation is seen inside that phase,
+// after a few applies rather than all 2n−1 of them, and no later phase
+// starts.
+func TestSolveCancelInsideKrylov(t *testing.T) {
+	src := ff.NewSource(1313)
+	n := 32
+	f, a := randomNonsingularP62(src, n)
+	b := ff.SampleVec[uint64](f, src, n, f.Modulus())
+	o := obs.New(0)
+	prev := obs.Active()
+	obs.SetActive(o)
+	defer obs.SetActive(prev)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withApplyHook(t, func(call int) {
+		if call == 1 {
+			cancel()
+		}
+	})
+	_, err := Solve[uint64](f, classical(), a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ph := failurePhase(err); ph != obs.PhaseKrylov {
+		t.Fatalf("cancellation surfaced in phase %q, want %q", ph, obs.PhaseKrylov)
+	}
+	totals := o.PhaseTotals()
+	if got := totals[obs.PhaseKrylov].ApplyCalls; got == 0 || got >= uint64(2*n-1) {
+		t.Fatalf("krylov phase made %d applies before stopping, want between 1 and %d", got, 2*n-2)
+	}
+	if totals[obs.PhaseMinPoly].Count != 0 || totals[obs.PhaseBacksolve].Count != 0 {
+		t.Fatal("a phase after krylov started despite the cancellation")
+	}
+	if open := o.OpenSpanName(); open != "" {
+		t.Fatalf("span %q left open after cancellation", open)
 	}
 }
 

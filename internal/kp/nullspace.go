@@ -148,7 +148,7 @@ func SolveSingular[E any](f ff.Field[E], a *matrix.Dense[E], b []E, p Params) ([
 		copy(y, top)
 		x := v.MulVec(f, y)
 		sawCandidate = true
-		if ff.VecEqual(f, a.MulVec(f, x), b) {
+		if a.MulVecEquals(f, x, b) {
 			return x, nil
 		}
 	}

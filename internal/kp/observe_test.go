@@ -13,26 +13,22 @@ import (
 	"repro/internal/obs"
 )
 
-// hookMul wraps the classical multiplier with a per-call hook — the lever
-// the cancellation and panic tests use to fail mid-phase, while a span is
-// open, rather than at the driver's own checkpoints.
-type hookMul struct {
-	calls int
-	hook  func(call int)
-}
-
-func (m *hookMul) Mul(f ff.Field[uint64], a, b *matrix.Dense[uint64]) *matrix.Dense[uint64] {
-	m.calls++
-	if m.hook != nil {
-		m.hook(m.calls)
+// withApplyHook installs hook on every counted apply of Ã (call numbers
+// from 1) for the rest of the test — the lever the cancellation and panic
+// tests use to fail mid-phase, while a span is open, rather than at the
+// driver's own checkpoints.
+func withApplyHook(t *testing.T, hook func(call int)) {
+	t.Helper()
+	calls := 0
+	applyHook = func() {
+		calls++
+		hook(calls)
 	}
-	return matrix.Classical[uint64]{}.Mul(f, a, b)
+	t.Cleanup(func() { applyHook = nil })
 }
-func (m *hookMul) Name() string   { return "hook" }
-func (m *hookMul) Omega() float64 { return 3 }
 
 // TestSolveCancellationLeavesNoOpenSpan cancels the context from inside the
-// Krylov phase (the second multiplier call happens under the krylov span)
+// Krylov phase (the second apply of Ã happens under the krylov span)
 // and asserts the driver surfaces ctx.Err() with every span closed — the
 // defer guards must unwind the Observer's current-span chain on the
 // cancellation path, or later spans would attach to a stale parent.
@@ -48,12 +44,12 @@ func TestSolveCancellationLeavesNoOpenSpan(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	mul := &hookMul{hook: func(call int) {
+	withApplyHook(t, func(call int) {
 		if call == 2 {
 			cancel()
 		}
-	}}
-	_, err := Solve[uint64](f, mul, a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
+	})
+	_, err := Solve[uint64](f, classical(), a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -62,7 +58,7 @@ func TestSolveCancellationLeavesNoOpenSpan(t *testing.T) {
 	}
 }
 
-// TestSolvePanicLeavesNoOpenSpan panics out of the Krylov doubling and
+// TestSolvePanicLeavesNoOpenSpan panics out of the Krylov loop and
 // asserts the defer guards still closed every span during unwinding.
 func TestSolvePanicLeavesNoOpenSpan(t *testing.T) {
 	src := ff.NewSource(313)
@@ -74,18 +70,18 @@ func TestSolvePanicLeavesNoOpenSpan(t *testing.T) {
 	obs.SetActive(o)
 	defer obs.SetActive(prev)
 
-	mul := &hookMul{hook: func(call int) {
+	withApplyHook(t, func(call int) {
 		if call == 3 {
 			panic("mid-krylov failure injection")
 		}
-	}}
+	})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected the injected panic to propagate")
 			}
 		}()
-		Solve[uint64](f, mul, a, b, Params{Src: ff.NewSource(5)})
+		Solve[uint64](f, classical(), a, b, Params{Src: ff.NewSource(5)})
 	}()
 	if open := o.OpenSpanName(); open != "" {
 		t.Fatalf("span %q left open after panic", open)

@@ -39,7 +39,8 @@ type PrecondMode string
 
 const (
 	// PrecondDense materializes Ã with one dense matrix product (the
-	// original route; O(n^ω) formation, then dense Krylov doubling). This is
+	// original route; O(n^ω) formation, then 3n−2 dense applies of Ã on
+	// concrete fields, the paper's Krylov doubling on the others). This is
 	// the default — it is what the traced circuits and the processor-count
 	// claims of the paper measure.
 	PrecondDense PrecondMode = "dense"
@@ -104,11 +105,10 @@ type Params struct {
 // the field: the full cardinality, capped at 2⁶² for infinite or
 // beyond-word-size fields.
 func DefaultSubset[E any](f ff.Field[E]) uint64 {
-	card := f.Cardinality()
-	if card.Sign() == 0 || !card.IsUint64() {
-		return 1 << 62
+	if c, ok := ff.WordOrder(f); ok {
+		return c
 	}
-	return card.Uint64()
+	return 1 << 62
 }
 
 // fill resolves the zero values of p against the field's defaults.

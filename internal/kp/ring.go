@@ -53,7 +53,7 @@ var (
 
 // DefaultFactorCacheCap bounds the per-engine factorization cache: one
 // entry is a Factorization[uint64] for one (matrix, prime) pair — the
-// Krylov ladder and charpoly, O(n²) words — so repeated requests for the
+// preconditioned Ã and its charpoly, O(n²) words — so repeated requests for the
 // same matrix (a kpd client iterating right-hand sides) skip the entire
 // Theorem 4 front end per residue.
 const DefaultFactorCacheCap = 256

@@ -102,6 +102,16 @@ func (m *Dense[E]) Col(j int) []E {
 	return c
 }
 
+// SetCol overwrites column j with c.
+func (m *Dense[E]) SetCol(j int, c []E) {
+	if len(c) != m.Rows {
+		panic("matrix: SetCol dimension mismatch")
+	}
+	for i, v := range c {
+		m.Data[i*m.Cols+j] = v
+	}
+}
+
 // parallelCopyMin is the element count above which pure data-movement
 // helpers (Transpose, hcat) fan out over the shared worker pool. Copies
 // involve no field operations, so this path is safe for every element type,
@@ -261,18 +271,46 @@ func (m *Dense[E]) Scale(f ff.Field[E], s E) *Dense[E] {
 	return out
 }
 
-// MulVec returns m·x for a column vector x. Inner products dispatch through
-// ff.DotFused: fused lazy-reduction dots over kernel-bearing fields,
-// balanced trees (O(log n) traced depth) everywhere else.
+// MulVec returns m·x for a column vector x: fused lazy-reduction dots over
+// kernel-bearing fields, balanced trees (O(log n) traced depth) everywhere
+// else.
 func (m *Dense[E]) MulVec(f ff.Field[E], x []E) []E {
 	if len(x) != m.Cols {
 		panic("matrix: MulVec dimension mismatch")
 	}
 	out := make([]E, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = ff.DotFused(f, m.Data[i*m.Cols:(i+1)*m.Cols], x)
+	if ker, ok := ff.KernelsOf(f); ok {
+		for i := range out {
+			out[i] = ker.DotInto(m.Data[i*m.Cols:(i+1)*m.Cols], x)
+		}
+		return out
+	}
+	for i := range out {
+		out[i] = ff.Dot(f, m.Data[i*m.Cols:(i+1)*m.Cols], x)
 	}
 	return out
+}
+
+// MulVecEquals reports whether m·x = b, row by row without allocating, and
+// stops at the first row that differs: the Las Vegas drivers' A·x = b check.
+func (m *Dense[E]) MulVecEquals(f ff.Field[E], x, b []E) bool {
+	if len(x) != m.Cols || len(b) != m.Rows {
+		panic("matrix: MulVecEquals dimension mismatch")
+	}
+	ker, fused := ff.KernelsOf(f)
+	for i := range b {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		var d E
+		if fused {
+			d = ker.DotInto(row, x)
+		} else {
+			d = ff.Dot(f, row, x)
+		}
+		if !f.Equal(d, b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // VecMul returns xᵀ·m for a row vector x. Over a field with fused kernels

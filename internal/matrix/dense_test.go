@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/ff"
@@ -309,9 +311,38 @@ func TestKrylov(t *testing.T) {
 	// Projections agree.
 	u := ff.SampleVec[uint64](f, src, n, ff.P31)
 	p1 := ProjectKrylov[uint64](f, u, doub)
-	p2 := ProjectSequence[uint64](f, u, iter)
-	if !ff.VecEqual[uint64](f, p1, p2) {
-		t.Fatal("projection mismatch")
+	p2, err := KrylovSequence[uint64](nil, f, DenseBox[uint64]{a}, u, b, m)
+	if err != nil || !ff.VecEqual[uint64](f, p1, p2) {
+		t.Fatalf("projection mismatch (err %v)", err)
+	}
+	// p(A)·b by applies, one column and a block, against the Krylov columns.
+	c := ff.SampleVec[uint64](f, src, n, ff.P31)
+	want := ff.VecZero[uint64](f, n)
+	for j := range c {
+		ff.VecMulAddInto[uint64](f, want, c[j], iter[j])
+	}
+	if got, err := PolyApply[uint64](nil, f, DenseBox[uint64]{a}, c, b); err != nil || !ff.VecEqual[uint64](f, got, want) {
+		t.Fatalf("PolyApply mismatch (err %v)", err)
+	}
+	bm := Random[uint64](f, src, n, 3, ff.P31)
+	blk, err := PolyApplyBlock[uint64](nil, f, Classical[uint64]{}, a, bm, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 3; j++ {
+		col, _ := PolyApply[uint64](nil, f, DenseBox[uint64]{a}, c, bm.Col(j))
+		if !ff.VecEqual[uint64](f, blk.Col(j), col) {
+			t.Fatalf("PolyApplyBlock column %d mismatch", j)
+		}
+	}
+	// A done context stops the apply loops.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := KrylovSequence[uint64](ctx, f, DenseBox[uint64]{a}, u, b, m); !errors.Is(err, context.Canceled) {
+		t.Fatalf("KrylovSequence on a canceled context: err = %v", err)
+	}
+	if _, err := PolyApply[uint64](ctx, f, DenseBox[uint64]{a}, c, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PolyApply on a canceled context: err = %v", err)
 	}
 	// Non-power-of-two m.
 	doub13 := KrylovDoubling[uint64](f, Classical[uint64]{}, a, b, 13)

@@ -55,7 +55,7 @@ func TestFastKernelsAgreeWithGenericPath(t *testing.T) {
 	}
 }
 
-// TestFusedVectorPathsAgree checks MulVec / VecMul / ProjectSequence take
+// TestFusedVectorPathsAgree checks MulVec / VecMul / KrylovSequence take
 // identical values over the fused and generic paths.
 func TestFusedVectorPathsAgree(t *testing.T) {
 	for _, p := range fastpathPrimes() {
@@ -71,9 +71,10 @@ func TestFusedVectorPathsAgree(t *testing.T) {
 			if !ff.VecEqual[uint64](f, m.VecMul(f, x), m.VecMul(cf, x)) {
 				t.Fatalf("F_%d n=%d: VecMul fused != generic", p, n)
 			}
-			vs := [][]uint64{x, m.MulVec(f, x), m.MulVec(f, m.MulVec(f, x))}
-			if !ff.VecEqual[uint64](f, ProjectSequence(f, x, vs), ProjectSequence[uint64](cf, x, vs)) {
-				t.Fatalf("F_%d n=%d: ProjectSequence fused != generic", p, n)
+			sf, _ := KrylovSequence[uint64](nil, f, DenseBox[uint64]{m}, x, x, 3)
+			sc, _ := KrylovSequence[uint64](nil, cf, DenseBox[uint64]{m}, x, x, 3)
+			if !ff.VecEqual[uint64](f, sf, sc) {
+				t.Fatalf("F_%d n=%d: KrylovSequence fused != generic", p, n)
 			}
 		}
 	}

@@ -1,13 +1,16 @@
 package matrix
 
-import "repro/internal/ff"
+import (
+	"context"
+
+	"repro/internal/ff"
+)
 
 // Block-Krylov machinery for the batched multi-RHS solve engine: the
 // doubling of the paper's equation (9) generalized from one starting vector
-// to a block B of k columns, with the squarings A^{2^i} captured in a
-// caller-owned cache so repeated doublings against the same operator (the
-// k right-hand-side backsolves of a batch, or every Factored.Solve after
-// the first) pay for the power ladder exactly once.
+// to a block B of k columns (the route of the circuit builder and the
+// kernel-less fields), and the block Cayley–Hamilton sum by repeated
+// products (the route of the concrete fields).
 
 // KrylovBlockDoubling returns [B | A·B | … | A^{m−1}·B] as one n × m·k
 // dense matrix (k = B.Cols), with column group j holding Aʲ·B. Each of the
@@ -15,13 +18,7 @@ import "repro/internal/ff"
 // block, so the k right-hand sides share every squaring and ride the
 // multiplier's fast paths as fused matrix–matrix work instead of k
 // separate doubling passes.
-//
-// pows, when non-nil, caches the power ladder: (*pows)[i] = A^{2^i}. An
-// empty cache is filled as rounds demand (starting with (*pows)[0] = A); a
-// pre-filled cache — from a previous doubling against the same A — is
-// reused, skipping the squarings entirely. Passing a cache built from a
-// different matrix is a caller error.
-func KrylovBlockDoubling[E any](f ff.Field[E], mul Multiplier[E], a, b *Dense[E], m int, pows *[]*Dense[E]) *Dense[E] {
+func KrylovBlockDoubling[E any](f ff.Field[E], mul Multiplier[E], a, b *Dense[E], m int) *Dense[E] {
 	a.mustSquare()
 	n := a.Rows
 	if b.Rows != n {
@@ -31,20 +28,14 @@ func KrylovBlockDoubling[E any](f ff.Field[E], mul Multiplier[E], a, b *Dense[E]
 	if m <= 0 || w == 0 {
 		return &Dense[E]{Rows: n, Cols: 0}
 	}
-	if pows == nil {
-		local := make([]*Dense[E], 0, 8)
-		pows = &local
-	}
 	k := b.Clone()
-	for i := 0; k.Cols < m*w; {
-		next := mul.Mul(f, powerAt(f, mul, a, pows, i), k)
-		k = hcat(f, k, next)
-		i++
+	pow := a // A^{2^i} for the current round
+	for k.Cols < m*w {
+		k = hcat(f, k, mul.Mul(f, pow, k))
 		if k.Cols < m*w {
-			// Extend the ladder eagerly only when another round is coming,
-			// mirroring the single-vector doubling's operation sequence
-			// (no trailing unused squaring).
-			powerAt(f, mul, a, pows, i)
+			// Square only when another round is coming (no trailing unused
+			// squaring).
+			pow = mul.Mul(f, pow, pow)
 		}
 	}
 	if k.Cols > m*w {
@@ -53,18 +44,29 @@ func KrylovBlockDoubling[E any](f ff.Field[E], mul Multiplier[E], a, b *Dense[E]
 	return k
 }
 
-// powerAt returns A^{2^i} from the cache, extending it by squaring as
-// needed ((*pows)[0] is A itself, so only genuinely new rounds multiply).
-func powerAt[E any](f ff.Field[E], mul Multiplier[E], a *Dense[E], pows *[]*Dense[E], i int) *Dense[E] {
-	for len(*pows) <= i {
-		if len(*pows) == 0 {
-			*pows = append(*pows, a)
-			continue
-		}
-		prev := (*pows)[len(*pows)-1]
-		*pows = append(*pows, mul.Mul(f, prev, prev))
+// PolyApplyBlock is PolyApply on the k columns of B at once: it returns
+// Σ_{j<len(c)} c[j]·Aʲ·B with one n×n by n×k product through mul per term
+// past the first, so the k columns share every pass over A. ctx is polled
+// as in KrylovSequence.
+func PolyApplyBlock[E any](ctx context.Context, f ff.Field[E], mul Multiplier[E], a, b *Dense[E], c []E) (*Dense[E], error) {
+	a.mustSquare()
+	if b.Rows != a.Rows {
+		panic("matrix: PolyApplyBlock dimension mismatch")
 	}
-	return (*pows)[i]
+	acc := NewDense(f, b.Rows, b.Cols)
+	cur := b
+	for j := range c {
+		if j > 0 {
+			if j%pollEvery == 1 {
+				if err := ctxErr(ctx); err != nil {
+					return nil, err
+				}
+			}
+			cur = mul.Mul(f, a, cur)
+		}
+		ff.VecMulAddInto(f, acc.Data, c[j], cur.Data)
+	}
+	return acc, nil
 }
 
 // CombineKrylovBlocks returns Σ_j coeffs[j]·Wⱼ for the column groups

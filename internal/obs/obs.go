@@ -65,8 +65,8 @@ const (
 	// PhasePrecondition is Ã = A·H·D (Theorem 2 + equation (1)).
 	PhasePrecondition = "precondition"
 	// PhaseKrylov is the Krylov sequence {Ãⁱv} and its projection — the
-	// doubling of display (9) in the dense route, iterative products in the
-	// black-box route.
+	// doubling of display (9) in the traced circuit and on kernel-less
+	// fields, iterative applies of Ã on concrete fields.
 	PhaseKrylov = "krylov"
 	// PhaseMinPoly is the minimum/characteristic-polynomial recovery: the
 	// Lemma 1 Toeplitz system (§3) or Berlekamp–Massey.
@@ -86,7 +86,7 @@ const (
 const (
 	// PhaseBatchPrecondition is the shared Ã = A·H·D of a batch attempt.
 	PhaseBatchPrecondition = "batch/precondition"
-	// PhaseBatchKrylov is the shared Krylov doubling and projection
+	// PhaseBatchKrylov is the shared Krylov sequence and projection
 	// (computed once per attempt, reused by every right-hand side).
 	PhaseBatchKrylov = "batch/krylov"
 	// PhaseBatchMinPoly is the shared characteristic-polynomial recovery.

@@ -73,6 +73,6 @@ func MinPolyDegree[E any](f ff.Field[E], a []E) (int, error) {
 // MatrixSequence returns the first m terms of {u·Aⁱ·b} for a dense A: the
 // scalar sequence Wiedemann's method projects out of the black box.
 func MatrixSequence[E any](f ff.Field[E], a *matrix.Dense[E], u, b []E, m int) []E {
-	vs := matrix.KrylovIterative(f, matrix.DenseBox[E]{M: a}, b, m)
-	return matrix.ProjectSequence(f, u, vs)
+	s, _ := matrix.KrylovSequence(nil, f, matrix.DenseBox[E]{M: a}, u, b, m) // a nil ctx never cancels
+	return s
 }

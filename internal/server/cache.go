@@ -10,7 +10,7 @@ import (
 )
 
 // Factorization cache: the economic heart of kpd. kp.Factor is the whole
-// Theorem 4 front end — preconditioning, Krylov doubling, characteristic
+// Theorem 4 front end — preconditioning, Krylov sequence, characteristic
 // polynomial — while Factored.Solve replays only the backsolve, so a
 // digest-keyed LRU of Factored handles turns every repeat matrix into a
 // cheap backsolve (observable as batch/backsolve spans with no new
